@@ -32,13 +32,6 @@ def test_jacobi_sweep(perf_bench):
     assert mlups > 0
 
 
-def test_jacobi_sweep_blocked(perf_bench):
-    perf_bench("jacobi_sweep_blocked", rounds=5)
-    mlups = perf_bench.last_record.metrics["mlups"].value
-    print(f"\nblocked sweep: {mlups:.1f} MLUP/s on this host")
-    assert mlups > 0
-
-
 def _render_solver(record) -> str:
     rows = [[name, m.value, m.unit] for name, m in record.metrics.items()]
     return (banner(f"Functional solver — {record.scenario}") + "\n" +

@@ -9,10 +9,11 @@ alias the compressed grid, halos too shallow for the trapezoids.  The
 no stencil execution at all, and returns either a certification or a
 concrete witness interleaving.
 
-This walkthrough certifies the paper's default window, rejects four
-adversarial neighbours (showing each witness), pre-prunes an autotune
-sweep, and runs a certified schedule with ``validate="static"`` —
-the proof standing in for the runtime checks.
+This walkthrough certifies the paper's default window, rejects the
+adversarial neighbours (showing each witness; the in-place traversal
+one only where a fused in-place engine, ``numba-deep``, is registered),
+pre-prunes an autotune sweep, and runs a certified schedule with
+``validate="static"`` — the proof standing in for the runtime checks.
 
 Run:  python examples/analysis.py
 """
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
 from repro.analysis import ScheduleSpec, analyze_schedule
+from repro.engine import available_engines, get_engine
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
 
@@ -42,7 +44,7 @@ def main() -> None:
          ScheduleSpec(teams=1, threads_per_team=4, updates_per_thread=1,
                       block_size=BLOCK, sync_kind="relaxed", d_l=1, d_u=4))
 
-    # --- four illegal neighbours, each with a concrete witness --------------
+    # --- illegal neighbours, each with a concrete witness --------------------
     show("window floor removed (d_l=0): RAW race",
          ScheduleSpec(threads_per_team=4, block_size=BLOCK,
                       sync_kind="relaxed", d_l=0, d_u=4))
@@ -52,11 +54,13 @@ def main() -> None:
     show("radius-2 stencil under the one-cell shift",
          ScheduleSpec(threads_per_team=4, block_size=BLOCK,
                       sync_kind="relaxed", d_l=1, d_u=4, radius=2))
-    show("fused in-place engine forced to descend",
-         ScheduleSpec(threads_per_team=4, block_size=BLOCK,
-                      sync_kind="relaxed", d_l=1, d_u=4,
-                      storage="compressed", engine="inplace",
-                      inplace_step=-1))
+    fused = [e for e in available_engines() if get_engine(e).fused_inplace]
+    if fused:
+        show("fused in-place engine forced to descend",
+             ScheduleSpec(threads_per_team=4, block_size=BLOCK,
+                          sync_kind="relaxed", d_l=1, d_u=4,
+                          storage="compressed", engine=fused[0],
+                          inplace_step=-1))
 
     # --- the analyzer as an autotune pre-prune ------------------------------
     from repro.core.autotune import autotune

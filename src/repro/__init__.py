@@ -55,7 +55,6 @@ from .core import (
     BarrierSpec,
     PipelineConfig,
     PipelineExecutor,
-    PipelineResult,
     RelaxedSpec,
     ScheduleDeadlock,
     SolveResult,
@@ -189,7 +188,6 @@ __all__ = [
     "RelaxedSpec",
     "PipelineConfig",
     "PipelineExecutor",
-    "PipelineResult",
     "ScheduleDeadlock",
     "SolveResult",
     "StorageError",

@@ -21,9 +21,9 @@ analyzer can explore the neighbourhood of the design space:
 * ``inplace_step`` — the plane-traversal direction a fused in-place
   engine would use (``+1`` ascending, ``-1`` descending) on the first
   tiled axis, or ``None`` for "whatever the engine derives".  The
-  shipped :class:`~repro.engine.inplace.InplaceEngine` derives the safe
-  direction; forcing the other one reproduces the classic compressed-
-  grid aliasing bug as a concrete finding.
+  shipped fused engine, :class:`~repro.engine.numba_deep.NumbaDeepEngine`,
+  derives the safe direction; forcing the other one reproduces the
+  classic compressed-grid aliasing bug as a concrete finding.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ Every solver front-end — this one and the distributed ones in
 :mod:`repro.dist.solver` — returns the same :class:`SolveResult`, so
 callers can switch between the shared-memory and distributed-memory
 rails (or go through the dispatching :func:`repro.solve`) without
-touching their result handling.  ``PipelineResult`` remains as an alias
-for existing code.
+touching their result handling.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .executor import ExecutionStats, PipelineExecutor
 from .parameters import PipelineConfig
 from .schedule import check_coverage, make_decomposition
 
-__all__ = ["SolveResult", "PipelineResult", "plan", "run_pipelined"]
+__all__ = ["SolveResult", "plan", "run_pipelined"]
 
 
 @dataclass
@@ -71,10 +70,6 @@ class SolveResult:
     def cells_updated(self) -> int:
         """Total cell updates performed (incl. trapezoid extra work)."""
         return self.stats.cells_updated if self.stats is not None else 0
-
-
-#: Backwards-compatible name from before the unified front-end.
-PipelineResult = SolveResult
 
 
 def plan(grid: Grid3D, config: PipelineConfig, verify_coverage: bool = True):

@@ -3,13 +3,12 @@
 The paper's central claim (Sect. 1.1/1.4) is that a temporal-blocking
 *schedule* — which cells advance to which time level when — is
 independent of how the innermost update is executed: plain vectorised
-sweeps, spatially blocked traversal, in-place compressed-grid updates
-and SIMD/JIT-compiled loops all drive the very same schedule, and only
-move the achieved bandwidth closer to the hardware limit.  This module
-makes that separation first-class: an :class:`Engine` executes the
-update ``level-1 -> level`` on a region, and *everything else* (the
-executor, the distributed rank bodies, the reference sweeps) dispatches
-through it.
+sweeps, in-place compressed-grid updates and SIMD/JIT-compiled loops
+all drive the very same schedule, and only move the achieved bandwidth
+closer to the hardware limit.  This module makes that separation
+first-class: an :class:`Engine` executes the update ``level-1 ->
+level`` on a region, and *everything else* (the executor, the
+distributed rank bodies, the reference sweeps) dispatches through it.
 
 The invariant every engine must uphold is the repo's signature move:
 **bit-identical results**.  Two engines of the same :attr:`semantics`
@@ -77,8 +76,6 @@ class Engine:
         byte-identical results on identical inputs; it — not the
         engine name — enters the service's content keys, so caches are
         shared within a class and never across classes.
-    tiled:
-        Capability flag: traverses the region in cache-sized tiles.
     fused_inplace:
         Capability flag: writes straight into the destination storage
         positions (no full-region temporary).
@@ -90,7 +87,6 @@ class Engine:
 
     name: str = "abstract"
     semantics: str = "vector-v1"
-    tiled: bool = False
     fused_inplace: bool = False
     jit: bool = False
     requires = None
@@ -134,8 +130,7 @@ class Engine:
 
     def describe(self) -> str:
         """One-line summary for tables and reports."""
-        caps = [flag for flag, on in (("tiled", self.tiled),
-                                      ("fused-inplace", self.fused_inplace),
+        caps = [flag for flag, on in (("fused-inplace", self.fused_inplace),
                                       ("jit", self.jit)) if on]
         extra = f" [{', '.join(caps)}]" if caps else ""
         return f"{self.name}({self.semantics}){extra}"

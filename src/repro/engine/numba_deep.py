@@ -23,11 +23,10 @@ serve-cache entries with every other built-in.
 Correctness on the *compressed* grid needs one more ingredient: the
 destination view aliases source positions shifted by one cell, so the
 traversal must run plane-wise along the first shifted dimension in the
-direction the storage offsets move (the same rule
-:func:`~repro.engine.inplace._plane_axis_and_step` gives the in-place
-engine, Sect. 1.3's "reverse loops ... on all even sweeps").  The
-kernel computes a whole plane into a scratch buffer before storing it,
-so every read of a plane precedes its write and later planes never see
+direction the storage offsets move (:func:`_plane_axis_and_step`,
+Sect. 1.3's "reverse loops ... on all even sweeps").  The kernel
+computes a whole plane into a scratch buffer before storing it, so
+every read of a plane precedes its write and later planes never see
 clobbered positions.  Rather than compiling three axis variants, the
 Python wrapper *permutes* the views so the plane axis is always axis 0
 of the compiled loop — transposed numpy views carry their strides, the
@@ -48,27 +47,15 @@ import weakref
 import numpy as np
 
 from .base import nonzero_terms
-from .inplace import _plane_axis_and_step
 from .numba_engine import (
     HAVE_NUMBA,
     NumbaEngine,
     _JIT_DISPATCHERS,
     _on_main_thread,
+    prange,
 )
 
 __all__ = ["NumbaDeepEngine"]
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    from numba import prange
-else:
-    # The loop body below stays a plain-Python function either way:
-    # numba compiles it when present; without numba the interpreted
-    # body (with ``prange`` as ``range``) executes the identical
-    # per-cell float64 operation sequence, which is how the
-    # differential battery certifies the traversal logic even in
-    # numba-free environments (the engine itself stays unregistered
-    # there — interpreted per-cell loops are not a production engine).
-    prange = range
 
 
 def _deep_block_impl(src, dst, offs, weights, cw, has_center,
@@ -134,6 +121,25 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
     _JIT_DISPATCHERS.extend([_deep_block, _deep_block_nogil])
 else:
     _deep_block = _deep_block_nogil = _deep_block_impl
+
+
+def _plane_axis_and_step(storage, level: int):
+    """The traversal axis and direction that make in-place writes legal.
+
+    For a compressed grid: the first shifted dimension, walked in the
+    direction the storage offset of ``level`` moves relative to
+    ``level-1`` (descending offsets — even passes — need ascending
+    planes, and vice versa), so a committed plane only ever overwrites
+    positions no later plane still reads.  For the two-grid layout any
+    order is legal; ascending axis 0 keeps the walk cache-friendly.
+    """
+    shift_vec = getattr(storage, "shift_vec", None)
+    if shift_vec and any(shift_vec):
+        axis = next(d for d in range(3) if shift_vec[d])
+        descending = (storage.offset_scalar(level)
+                      < storage.offset_scalar(level - 1))
+        return axis, (1 if descending else -1)
+    return 0, 1
 
 
 #: Per-storage boundary-face tables (six squeezed 2-D arrays), built

@@ -45,11 +45,38 @@ __all__ = ["HAVE_NUMBA", "NumbaEngine", "jit_cache_stats"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
+    from numba import prange
 
     HAVE_NUMBA = True
 except ImportError:  # the supported default environment
     numba = None
     HAVE_NUMBA = False
+    # The loop bodies below stay plain-Python functions either way:
+    # numba compiles them when present; without numba the interpreted
+    # bodies (``prange`` is ``range``) execute the identical per-cell
+    # operation sequence, which is how the differential battery
+    # certifies the compiled engines' traversal logic in numba-free
+    # environments (the engines themselves stay unregistered there).
+    prange = range
+
+
+def _fused_padded_impl(src, dst, offsets, weights, cw, has_center,
+                       z0, z1, y0, y1, x0, x1):
+    """Padded-pair sweep: direct offset reads, no gather arrays."""
+    K = offsets.shape[0]
+    for i in prange(z1 - z0):
+        z = z0 + i
+        for y in range(y0, y1):
+            for x in range(x0, x1):
+                acc = dst[1 + z, 1 + y, 1 + x]  # pre-zeroed: typed
+                for m in range(K):
+                    acc = acc + weights[m] * src[
+                        1 + z + offsets[m, 0],
+                        1 + y + offsets[m, 1],
+                        1 + x + offsets[m, 2]]
+                if has_center:
+                    acc = acc + cw * src[1 + z, 1 + y, 1 + x]
+                dst[1 + z, 1 + y, 1 + x] = acc
 
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
@@ -63,7 +90,7 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         """
         nz, ny, nx = out.shape
         K = stacked.shape[0]
-        for i in numba.prange(nz):
+        for i in prange(nz):
             for j in range(ny):
                 for k in range(nx):
                     acc = out[i, j, k]  # pre-zeroed: typed accumulator
@@ -72,24 +99,6 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
                     if has_center:
                         acc = acc + cw * center[i, j, k]
                     out[i, j, k] = acc
-
-    def _fused_padded_impl(src, dst, offsets, weights, cw, has_center,
-                           z0, z1, y0, y1, x0, x1):
-        """Padded-pair sweep: direct offset reads, no gather arrays."""
-        K = offsets.shape[0]
-        for i in numba.prange(z1 - z0):
-            z = z0 + i
-            for y in range(y0, y1):
-                for x in range(x0, x1):
-                    acc = dst[1 + z, 1 + y, 1 + x]  # pre-zeroed: typed
-                    for m in range(K):
-                        acc = acc + weights[m] * src[
-                            1 + z + offsets[m, 0],
-                            1 + y + offsets[m, 1],
-                            1 + x + offsets[m, 2]]
-                    if has_center:
-                        acc = acc + cw * src[1 + z, 1 + y, 1 + x]
-                    dst[1 + z, 1 + y, 1 + x] = acc
 
     # One source, two compilations: with parallel=False numba lowers
     # ``prange`` to a plain ``range``, so both flavours execute the
@@ -107,6 +116,8 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         _fused_padded_impl)
     _fused_padded_nogil = numba.njit(nogil=True, fastmath=False, cache=True)(
         _fused_padded_impl)
+else:
+    _fused_padded = _fused_padded_nogil = _fused_padded_impl
 
 
 #: Every cached dispatcher this package compiled, for

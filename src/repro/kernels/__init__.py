@@ -13,7 +13,6 @@ from .jacobi import (
     jacobi5_2d,
     anisotropic_jacobi,
     jacobi_sweep_padded,
-    jacobi_sweep_blocked,
 )
 from .reference import reference_sweeps, reference_sweep_region
 from .convergence import (
@@ -31,7 +30,6 @@ __all__ = [
     "jacobi5_2d",
     "anisotropic_jacobi",
     "jacobi_sweep_padded",
-    "jacobi_sweep_blocked",
     "reference_sweeps",
     "reference_sweep_region",
     "change_norm",

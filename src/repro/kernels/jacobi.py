@@ -6,22 +6,21 @@ Eq. 1 of the paper::
                       + A[i,j+1,k] + A[i,j,k-1] + A[i,j,k+1])
 
 This module provides ready-made :class:`~repro.kernels.stencils.StarStencil`
-instances plus the full-array sweeps used by the reference solver and the
-host micro-benchmarks.  Since PR 5 the sweeps *dispatch through the
+instances plus the full-array sweep used by the reference solver and the
+host micro-benchmarks.  Since PR 5 the sweep *dispatches through the
 engine registry* (:mod:`repro.engine`): ``jacobi_sweep_padded`` runs any
-registered engine over the padded pair (default ``"numpy"``, the
-historical vectorised gather) and ``jacobi_sweep_blocked`` is the blocked
-engine with an explicit tile — pure traversal reordering that never
-changes results, which the tests assert bit-for-bit.
+registered engine over the padded pair (default ``"numpy"``, which
+sweeps cache-sized z-slabs — the spatial blocking of Sect. 1.1, pure
+traversal reordering that never changes results).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..engine import BlockedEngine, get_engine
+from ..engine import get_engine
 from .stencils import StarStencil
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "jacobi5_2d",
     "anisotropic_jacobi",
     "jacobi_sweep_padded",
-    "jacobi_sweep_blocked",
 ]
 
 
@@ -102,23 +100,4 @@ def jacobi_sweep_padded(src: np.ndarray, dst: Optional[np.ndarray] = None,
         np.copyto(dst, src)
     interior = tuple(s - 2 for s in src.shape)
     get_engine(engine).apply_padded(st, src, dst, (0, 0, 0), interior)
-    return dst
-
-
-def jacobi_sweep_blocked(src: np.ndarray, dst: np.ndarray,
-                         block: Tuple[int, int, int],
-                         stencil: Optional[StarStencil] = None) -> np.ndarray:
-    """Spatially blocked sweep over a padded array (baseline, Sect. 1.1).
-
-    Traverses the interior in blocks of ``block`` cells (the paper's
-    standard code used ≈ 600×20×20 with a long inner loop) — i.e. the
-    ``blocked`` engine with an explicit tile.  Spatial blocking only
-    reorders the traversal; the result is identical to
-    :func:`jacobi_sweep_padded`, which the test-suite verifies.
-    """
-    st = stencil or jacobi7()
-    np.copyto(dst, src)
-    interior = tuple(s - 2 for s in src.shape)
-    tile = tuple(max(1, int(b)) for b in block)
-    BlockedEngine(tile).apply_padded(st, src, dst, (0, 0, 0), interior)
     return dst

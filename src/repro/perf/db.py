@@ -372,18 +372,18 @@ def calibrate(engines: Optional[Sequence[str]] = None,
               db: Optional[PerfDB] = None,
               quick: bool = False,
               timer: Optional[Callable[[], float]] = None,
-              size_classes: Optional[Sequence[str]] = None,
               ) -> Dict[Tuple[str, str], float]:
     """Microbenchmark every engine x storage point and record the rates.
 
     A small real pipelined solve per point (``validate=False`` — the
     schedule is a stock legal one; we are timing kernels, not
     re-proving legality), best-of-``repeats`` MLUP/s, recorded under
-    this host for the ``jacobi`` kernel.  By default the measurement
-    seeds **all** size classes (a microbenchmark is the only data a
-    fresh host has; routine perf-run ingest later refines each class
-    with same-sized measurements).  Returns ``{(engine, storage):
-    mlups}`` for reporting.
+    this host for the ``jacobi`` kernel and the size class of
+    ``shape`` only: a small grid's rate is mostly per-call overhead and
+    must not steer ``engine="auto"`` for larger grids, whose classes
+    stay unmeasured (so auto keeps the static default there) until
+    same-sized measurements arrive, e.g. by perf-run ingest.  Returns
+    ``{(engine, storage): mlups}`` for reporting.
 
     ``quick=True`` halves the work for smoke tests/CI;  ``timer`` is
     injectable so tests can drive deterministic fake clocks.
@@ -404,8 +404,8 @@ def calibrate(engines: Optional[Sequence[str]] = None,
         repeats = 1
     clock = timer or time.perf_counter
     d = db if db is not None else _DEFAULT_DB  # empty PerfDB is falsy
-    classes = tuple(size_classes) if size_classes else SIZE_CLASSES
     grid = Grid3D(tuple(int(s) for s in shape))
+    cls = size_class(grid.shape)
     field = random_field(grid.shape, np.random.default_rng(0))
     results: Dict[Tuple[str, str], float] = {}
     for storage in storages:
@@ -425,6 +425,5 @@ def calibrate(engines: Optional[Sequence[str]] = None,
                     best = max(best, cells / dt / 1e6)
             if best > 0.0:
                 results[(engine, storage)] = best
-                for cls in classes:
-                    d.record(engine, "jacobi", storage, cls, best)
+                d.record(engine, "jacobi", storage, cls, best)
     return results

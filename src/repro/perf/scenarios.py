@@ -436,6 +436,36 @@ def _solver_problem(suite: str):
     return grid, field_, cfg, topo
 
 
+def _engine_points() -> List[Tuple[str, str, str]]:
+    """``(engine, backend, storage)`` of the engine-axis scenarios (E13).
+
+    The non-default engines are all numba-gated, so these register only
+    where numba is installed, and a clean environment's registry (and
+    the checked-in baseline) never depends on them.  ``numba`` on the
+    threads rail is the headline pairing of real stage threads and a
+    compiled nogil kernel: its gated counters must equal the shared
+    numba scenario's exactly, and its wall-clock ratio to solve_shared
+    is the paper-style speedup (asserted >1x only on multicore hosts —
+    see tests/test_threads.py).  ``numba-deep`` (one compiled region
+    per block traversal) runs on both storage schemes and under the
+    threads rail.
+    """
+    import importlib.util
+    if importlib.util.find_spec("numba") is None:
+        return []
+    return [("numba", "shared", "twogrid"),
+            ("numba", "threads", "twogrid"),
+            ("numba-deep", "shared", "twogrid"),
+            ("numba-deep", "shared", "compressed"),
+            ("numba-deep", "threads", "twogrid")]
+
+
+def _engine_scenario(backend: str, engine: str, storage: str) -> str:
+    """Name stem of an engine-axis scenario; compressed runs say so."""
+    suffix = "_compressed" if storage == "compressed" else ""
+    return f"solve_{backend}_{engine}{suffix}"
+
+
 def solver_schedules(suite: str):
     """Every distinct schedule the ``suite``'s solver scenarios run.
 
@@ -457,23 +487,11 @@ def solver_schedules(suite: str):
     yield f"solve_threads@{suite}", shape, cfg, (1, 1, 1)
     yield f"solve_simmpi@{suite}", shape, cfg, topo
     yield f"solve_procmpi@{suite}", shape, cfg, topo
-    engine_points = [
-        ("blocked", "shared", "twogrid"),
-        ("inplace", "shared", "compressed"),
-        ("blocked", "simmpi", "twogrid"),
-        ("inplace", "procmpi", "twogrid"),
-    ]
-    import importlib.util
-    if importlib.util.find_spec("numba") is not None:
-        engine_points.append(("numba", "shared", "twogrid"))
-        engine_points.append(("numba", "threads", "twogrid"))
-        engine_points.append(("numba-deep", "shared", "twogrid"))
-        engine_points.append(("numba-deep", "shared", "compressed"))
-        engine_points.append(("numba-deep", "threads", "twogrid"))
-    for engine_, backend_, storage_ in engine_points:
+    for engine_, backend_, storage_ in _engine_points():
         ecfg = replace(cfg, engine=engine_, storage=storage_)
         etopo = (1, 1, 1) if backend_ in ("shared", "threads") else topo
-        yield f"solve_{backend_}_{engine_}@{suite}", shape, ecfg, etopo
+        yield (f"{_engine_scenario(backend_, engine_, storage_)}@{suite}",
+               shape, ecfg, etopo)
     # engine="auto" runs the same shared schedule; the engine choice is
     # a traversal variant the analyzer does not distinguish.
     yield f"solve_auto@{suite}", shape, cfg, (1, 1, 1)
@@ -492,12 +510,6 @@ def _register_kernels() -> None:
             jacobi_sweep_padded(src, dst)
             return _n
 
-        def sweep_blocked(state, _n=n):
-            from ..kernels.jacobi import jacobi_sweep_blocked
-            src, dst = state
-            jacobi_sweep_blocked(src, dst, (_n, 20, 20))
-            return _n
-
         register(Scenario(
             name=f"jacobi_sweep@{suite}",
             kind="kernel",
@@ -507,16 +519,6 @@ def _register_kernels() -> None:
             summarize=_sum_host_kernel(n ** 3),
             params={"n": n, "variant": "padded"},
             description="Real vectorised Jacobi sweep on this host",
-        ))
-        register(Scenario(
-            name=f"jacobi_sweep_blocked@{suite}",
-            kind="kernel",
-            suites=(suite,),
-            setup=_kernel_setup(n),
-            fn=sweep_blocked,
-            summarize=_sum_host_kernel(n ** 3),
-            params={"n": n, "variant": "blocked", "block": (n, 20, 20)},
-            description="Spatially blocked Jacobi sweep on this host",
         ))
 
         def stream(_mb=STREAM_MB[suite]):
@@ -641,32 +643,8 @@ def _register_solvers() -> None:
         # engine differential battery pins that), so every gated
         # metric — the communication counters — must match its
         # numpy-engine sibling exactly; only the host-clock throughput
-        # moves.  The optional numba engine registers its scenario
-        # only where numba is installed, so a clean environment's
-        # registry (and the checked-in baseline) never depends on it.
-        engine_points = [
-            ("blocked", "shared", "twogrid"),
-            ("inplace", "shared", "compressed"),
-            ("blocked", "simmpi", "twogrid"),
-            ("inplace", "procmpi", "twogrid"),
-        ]
-        import importlib.util
-        if importlib.util.find_spec("numba") is not None:
-            engine_points.append(("numba", "shared", "twogrid"))
-            # The headline pairing of this repo's threaded rail: real
-            # stage threads and a compiled nogil kernel.  Its gated
-            # counters must equal the shared numba scenario's exactly;
-            # the wall-clock ratio to solve_shared is the paper-style
-            # speedup (asserted >1x only on multicore hosts — see
-            # tests/test_threads.py).
-            engine_points.append(("numba", "threads", "twogrid"))
-            # The deep-JIT engine: one compiled region per block
-            # traversal (gather + boundary patch + write), on both
-            # storage schemes and under the threads rail.
-            engine_points.append(("numba-deep", "shared", "twogrid"))
-            engine_points.append(("numba-deep", "shared", "compressed"))
-            engine_points.append(("numba-deep", "threads", "twogrid"))
-        for engine_, backend_, storage_ in engine_points:
+        # moves.
+        for engine_, backend_, storage_ in _engine_points():
 
             def solve_engine(_suite=suite, _engine=engine_,
                              _backend=backend_, _storage=storage_):
@@ -685,7 +663,8 @@ def _register_solvers() -> None:
                              backend=_backend)
 
             register(Scenario(
-                name=f"solve_{backend_}_{engine_}@{suite}",
+                name=f"{_engine_scenario(backend_, engine_, storage_)}"
+                     f"@{suite}",
                 kind="solver",
                 suites=(suite,),
                 fn=solve_engine,
@@ -717,8 +696,7 @@ def _register_solvers() -> None:
             # process — same decision on every host with the same
             # engine set (the checked-in baseline uses the clean,
             # numba-free set).
-            table = {"numpy": 100.0, "blocked": 140.0, "inplace": 120.0,
-                     "numba": 180.0, "numba-deep": 220.0}
+            table = {"numpy": 100.0, "numba": 180.0, "numba-deep": 220.0}
             cls = size_class(grid.shape)
             db = PerfDB()
             measured = {}

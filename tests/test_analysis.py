@@ -88,9 +88,9 @@ def test_certifies_barrier_and_teams():
              team_delay=1), SHAPE).ok
 
 
-def test_certifies_compressed_inplace():
+def test_certifies_compressed_inplace(deep_engine):
     report = analyze_schedule(
-        spec(storage="compressed", engine="inplace"), SHAPE)
+        spec(storage="compressed", engine="numba-deep"), SHAPE)
     assert report.ok, report.describe()
 
 
@@ -152,9 +152,9 @@ def test_radius_two_structurally_illegal_on_compressed():
 # -- adversarial: in-place traversal direction -------------------------------
 
 
-def test_forced_descending_inplace_is_flagged():
+def test_forced_descending_inplace_is_flagged(deep_engine):
     report = analyze_schedule(
-        spec(storage="compressed", engine="inplace", inplace_step=-1),
+        spec(storage="compressed", engine="numba-deep", inplace_step=-1),
         SHAPE)
     assert errors_of(report, "inplace-aliasing"), report.describe()
 
@@ -400,7 +400,7 @@ def run_cli(*args):
 def test_cli_certifies_quick_suite():
     proc = run_cli("check-schedule", "--suite", "quick")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "10/10 schedule(s) certified" in proc.stdout
+    assert "6/6 schedule(s) certified" in proc.stdout
 
 
 def test_cli_rejects_illegal_flags():

@@ -11,7 +11,6 @@ from repro import (
     BACKENDS,
     Grid3D,
     PipelineConfig,
-    PipelineResult,
     RelaxedSpec,
     SolveResult,
     run_pipelined,
@@ -79,9 +78,6 @@ class TestDispatch:
         b = solve(grid, field, cfg)
         assert isinstance(a, SolveResult)
         assert np.array_equal(a.field, b.field)
-
-    def test_pipeline_result_alias(self):
-        assert PipelineResult is SolveResult
 
 
 class TestResultParity:

@@ -8,7 +8,12 @@ backend combination.  This file pins that invariant:
 
 * shared / ``simmpi`` / ``procmpi`` solves for the 7-point Jacobi, the
   embedded 2-D star and an anisotropic stencil, per engine, compared
-  bit-for-bit (``np.array_equal``) against the numpy engine;
+  bit-for-bit (``np.array_equal``) against the numpy engine — the
+  in-process legs always run a ``blocked`` (z-tiled numpy) and an
+  ``inplace`` (``numba-deep``, interpreted where numba is missing, see
+  ``conftest.deep_engine``) traversal, so a numba-less run still
+  compares different traversals; the ``procmpi`` legs run the engines
+  registered in every process;
 * cache sharing in :mod:`repro.serve`: engines of one semantics class
   produce one content key, so an engine change is a pure cache hit;
 * edge cases: degenerate 1-cell-axis grids, zero-weight and absent
@@ -40,6 +45,7 @@ from repro.core.storage import TwoGridStorage
 from repro.engine import (
     HAVE_NUMBA,
     Engine,
+    NumpyEngine,
     available_engines,
     engine_semantics,
     get_engine,
@@ -58,8 +64,53 @@ from repro.kernels import (
 
 RNG_SEED = 7
 
-ENGINES = available_engines()
-NONDEFAULT = [e for e in ENGINES if e != "numpy"]
+#: Engines registered in every process, spawned ``procmpi`` ranks included.
+SPAWNED = available_engines()
+#: Registered engines other than numpy, or the interpreted numba-deep
+#: engine where numba is missing.
+SECOND = [e for e in SPAWNED if e != "numpy"] or ["numba-deep"]
+
+
+class ZTiledNumpy(NumpyEngine):
+    """The numpy per-cell sequence over two-plane z-tiles.
+
+    Spatial blocking as pure traversal reordering (the paper's Sect.
+    1.1): every tile is gathered and evaluated on its own and the region
+    commits in one write, so the compressed grid's shifted positions
+    stay legal.  Test-only — it certifies that the vector semantics do
+    not depend on how a traversal cuts the region.
+    """
+
+    name = "numpy-ztiles"
+    tz = 2
+
+    def apply(self, stencil, storage, region, level: int) -> None:
+        if region.is_empty:
+            return
+        (z0, y0, x0), (z1, y1, x1) = region.lo, region.hi
+        values = np.empty(region.shape, dtype=storage.grid.dtype)
+        for z in range(z0, z1, self.tz):
+            tile = Box.make((z, y0, x0), (min(z + self.tz, z1), y1, x1))
+            center = storage.read(tile, level - 1)
+            neighbors = [storage.gather(tile, off, level - 1)
+                         for off in stencil.offsets]
+            values[z - z0:tile.hi[0] - z0] = stencil.apply(center, neighbors)
+        storage.write(region, level, values)
+
+    def apply_padded(self, stencil, src, dst, lo, hi) -> None:
+        for z in range(lo[0], hi[0], self.tz):
+            super().apply_padded(stencil, src, dst, (z, lo[1], lo[2]),
+                                 (min(z + self.tz, hi[0]), hi[1], hi[2]))
+
+
+#: The second traversals of the in-process legs, by test id: a blocked
+#: (z-tiled) traversal, the fused in-place traversal of numba-deep
+#: (interpreted where numba is missing) and, with numba, the compiled
+#: whole-region engine.
+TRAVERSALS = {"blocked": ZTiledNumpy.name, "inplace": "numba-deep",
+              **({"numba": "numba"} if HAVE_NUMBA else {})}
+NONDEFAULT = list(TRAVERSALS)
+ENGINES = ["numpy"] + NONDEFAULT
 
 STENCILS = {
     "jacobi": jacobi7(),
@@ -81,6 +132,19 @@ def _problem(shape=(12, 10, 11), dtype=np.float64):
     return grid, field.astype(dtype)
 
 
+@pytest.fixture
+def engine(request):
+    """The engine name of an (indirectly parametrized) traversal id,
+    registered for the test's duration."""
+    name = TRAVERSALS.get(request.param, request.param)
+    if name == "numba-deep":
+        request.getfixturevalue("deep_engine")
+    elif name == ZTiledNumpy.name:
+        register_engine(ZTiledNumpy())
+        request.addfinalizer(lambda: unregister_engine(name))
+    return name
+
+
 # ---------------------------------------------------------------------------
 # Registry behaviour
 # ---------------------------------------------------------------------------
@@ -88,7 +152,7 @@ def _problem(shape=(12, 10, 11), dtype=np.float64):
 class TestRegistry:
     def test_builtins_registered_in_canonical_order(self):
         names = available_engines()
-        expected = ("numpy", "blocked", "inplace") + (
+        expected = ("numpy",) + (
             ("numba", "numba-deep") if HAVE_NUMBA else ())
         assert names == expected
 
@@ -130,7 +194,7 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 class TestSharedBitIdentity:
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", NONDEFAULT, indirect=True)
     @pytest.mark.parametrize("kernel", sorted(STENCILS))
     @pytest.mark.parametrize("storage", ["twogrid", "compressed"])
     def test_engine_matches_numpy_bitwise(self, engine, kernel, storage):
@@ -144,7 +208,7 @@ class TestSharedBitIdentity:
         plain = reference_sweeps(grid, field, ref.levels_advanced, stencil=st)
         np.testing.assert_allclose(got.field, plain, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", NONDEFAULT, indirect=True)
     def test_engine_override_argument_wins(self, engine):
         grid, field = _problem()
         a = solve(grid, field, _cfg(), engine=engine)
@@ -158,7 +222,7 @@ class TestSharedBitIdentity:
 # ---------------------------------------------------------------------------
 
 class TestDistributedBitIdentity:
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", NONDEFAULT, indirect=True)
     @pytest.mark.parametrize("kernel", sorted(STENCILS))
     def test_simmpi_engine_matches_numpy(self, engine, kernel):
         grid, field = _problem()
@@ -169,7 +233,7 @@ class TestDistributedBitIdentity:
                     backend="simmpi", stencil=st)
         assert np.array_equal(got.field, ref.field)
 
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", SPAWNED)
     @pytest.mark.parametrize("kernel", sorted(STENCILS))
     def test_procmpi_inherits_engine_and_matches(self, engine, kernel):
         grid, field = _problem()
@@ -183,7 +247,7 @@ class TestDistributedBitIdentity:
         np.testing.assert_allclose(proc.field, shared.field,
                                    rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", NONDEFAULT, indirect=True)
     def test_multi_halo_sweeps_take_an_engine(self, engine):
         from repro.dist.solver import distributed_jacobi_sweeps
 
@@ -192,11 +256,13 @@ class TestDistributedBitIdentity:
                                         supersteps=2, halo=2)
         got = distributed_jacobi_sweeps(grid, field, (1, 1, 2),
                                         supersteps=2, halo=2, engine=engine)
-        proc = distributed_jacobi_sweeps(grid, field, (1, 1, 2),
-                                         supersteps=2, halo=2, engine=engine,
-                                         transport="procmpi")
         assert np.array_equal(got.field, ref.field)
-        assert np.array_equal(proc.field, ref.field)
+        if engine in SPAWNED:
+            proc = distributed_jacobi_sweeps(grid, field, (1, 1, 2),
+                                             supersteps=2, halo=2,
+                                             engine=engine,
+                                             transport="procmpi")
+            assert np.array_equal(proc.field, ref.field)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +270,12 @@ class TestDistributedBitIdentity:
 # ---------------------------------------------------------------------------
 
 class TestServeRoundTrip:
-    def test_content_keys_shared_across_engines(self):
+    def test_content_keys_shared_across_engines(self, deep_engine):
         from repro.serve import SolveJob
 
         grid, field = _problem()
         base = SolveJob(grid=grid, field=field, config=_cfg()).content_key()
-        for engine in NONDEFAULT:
+        for engine in SECOND:
             job = SolveJob(grid=grid, field=field,
                            config=_cfg(engine=engine))
             assert job.content_key() == base
@@ -231,23 +297,24 @@ class TestServeRoundTrip:
             unregister_engine("other-sem")
         assert other != base
 
-    def test_engine_change_is_a_pure_cache_hit(self):
+    def test_engine_change_is_a_pure_cache_hit(self, deep_engine):
         """solve(engine=...) round-trips through the service: the second
         engine's job is served from the first engine's cache entry."""
         from repro.serve import Service
 
         grid, field = _problem()
-        direct = [solve(grid, field, _cfg(engine=e)) for e in ENGINES]
+        direct = [solve(grid, field, _cfg(engine=e))
+                  for e in ["numpy"] + SECOND]
         with Service(workers=0) as svc:
             cold = svc.submit(grid, field, _cfg())
             svc.drain()
             warm = [svc.submit(grid, field, _cfg(engine=e))
-                    for e in NONDEFAULT]
+                    for e in SECOND]
             stats = svc.stats
             results = [cold.result(timeout=0)] + \
                 [w.result(timeout=0) for w in warm]
         assert stats.backend_solves == 1
-        assert stats.cache_hits == len(NONDEFAULT)
+        assert stats.cache_hits == len(SECOND)
         assert all(w.cache_hit for w in warm)
         for served, ran in zip(results[1:], results[:-1]):
             assert np.array_equal(served.field, ran.field)
@@ -257,7 +324,7 @@ class TestServeRoundTrip:
     def test_auto_config_rejects_engine_override(self):
         grid, field = _problem()
         with pytest.raises(ValueError, match="auto"):
-            repro.submit(grid, field, "auto", engine="blocked")
+            repro.submit(grid, field, "auto", engine="numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +332,7 @@ class TestServeRoundTrip:
 # ---------------------------------------------------------------------------
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", NONDEFAULT, indirect=True)
     @pytest.mark.parametrize("shape", [(1, 6, 7), (6, 1, 7), (6, 7, 1),
                                        (1, 1, 5), (1, 1, 1)])
     def test_degenerate_one_cell_axes(self, engine, shape):
@@ -276,7 +343,7 @@ class TestEdgeCases:
         plain = reference_sweeps(grid, field, ref.levels_advanced)
         np.testing.assert_allclose(got.field, plain, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("engine", NONDEFAULT)
+    @pytest.mark.parametrize("engine", NONDEFAULT, indirect=True)
     def test_zero_weight_offsets_are_skipped_not_gathered_into_nan(self, engine):
         # A present-but-zero weight must contribute nothing — even when
         # the neighbour value is non-finite, 0 * inf == nan must not
@@ -294,7 +361,7 @@ class TestEdgeCases:
         # neighbours through the nonzero weights; nothing may be NaN.
         assert not np.isnan(got).any()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     @pytest.mark.parametrize("kernel", ["star2d", "jacobi"])
     def test_absent_offsets_match_reference(self, engine, kernel):
         grid, field = _problem((6, 7, 8))
@@ -303,7 +370,7 @@ class TestEdgeCases:
         got = reference_sweeps(grid, field, 4, stencil=st, engine=engine)
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_pure_center_stencil(self, engine):
         st = StarStencil(weights={}, center_weight=0.5, name="decay")
         grid, field = _problem((5, 4, 3))
@@ -312,7 +379,7 @@ class TestEdgeCases:
         assert np.array_equal(got, ref)
         np.testing.assert_allclose(got, field * 0.125, rtol=0, atol=0)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_empty_region_is_a_noop(self, engine):
         grid, field = _problem((4, 4, 4))
         storage = TwoGridStorage(grid, field)
@@ -322,7 +389,7 @@ class TestEdgeCases:
         assert np.array_equal(storage.extract(0), before)
         assert np.array_equal(storage.levels, levels)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     def test_empty_padded_region_is_a_noop(self, engine):
         grid, field = _problem((4, 4, 4))
         src = grid.padded(field)
@@ -331,7 +398,7 @@ class TestEdgeCases:
                                         (2, 0, 0), (2, 4, 4))
         assert np.array_equal(dst, src)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES, indirect=True)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("storage", ["twogrid", "compressed"])
     def test_dtype_preserved_and_bits_match(self, engine, dtype, storage):
@@ -373,31 +440,6 @@ class TestNumbaEngine:
 # ---------------------------------------------------------------------------
 # The deep-JIT engine: interpreted-mode traversal battery (no numba needed)
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def deep_engine():
-    """The numba-deep engine, runnable with or without numba.
-
-    With numba installed the registered engine is used as-is.  Without
-    it, the engine class is instantiated around its *interpreted* loop
-    body (``prange`` is plain ``range`` there) and registered for the
-    test's duration: the per-cell operation sequence is the same either
-    way, so this certifies the fused traversal — plane ordering,
-    permuted axes, boundary patching, destination writes — in a clean
-    environment.
-    """
-    from repro.engine import NumbaDeepEngine
-
-    if HAVE_NUMBA:
-        yield get_engine("numba-deep")
-        return
-    eng = object.__new__(NumbaDeepEngine)
-    register_engine(eng)
-    try:
-        yield eng
-    finally:
-        unregister_engine("numba-deep")
-
 
 class TestDeepTraversal:
     @pytest.mark.parametrize("kernel", sorted(STENCILS))

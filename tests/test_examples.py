@@ -56,9 +56,15 @@ def test_serving():
 
 @pytest.mark.slow
 def test_engines():
+    from repro.engine import available_engines
+
     out = run_example("engines.py")
     assert "bit-identical ✓" in out
-    assert "pure cache hit" in out
+    # The cross-engine demos need a second registered engine (numba).
+    if len(available_engines()) > 1:
+        assert "pure cache hit" in out
+    else:
+        assert "no second engine registered" in out
 
 
 @pytest.mark.slow

@@ -13,7 +13,6 @@ from repro.kernels import (
     jacobi5_2d,
     jacobi7,
     jacobi_residual,
-    jacobi_sweep_blocked,
     jacobi_sweep_padded,
     reference_sweeps,
     solve_to_tolerance,
@@ -94,22 +93,52 @@ class TestSweeps:
             reference_sweeps(grid, np.zeros(grid.shape), -1)
 
     def test_blocked_sweep_equals_plain(self):
-        grid = Grid3D((12, 10, 9))
-        f = random_field(grid.shape, RNG)
-        src = grid.padded(f)
-        plain = jacobi_sweep_padded(src)
-        blocked = np.empty_like(src)
-        jacobi_sweep_blocked(src, blocked, (5, 3, 4))
-        np.testing.assert_array_equal(plain, blocked)
+        """The padded sweep is blocked in z-slabs; a grid spanning several
+        slabs and ending in a partial one equals the plain per-cell
+        evaluation bit-for-bit."""
+        from repro.engine import nonzero_terms
+        from repro.engine.numpy_engine import SLAB_BYTES
+
+        shape = (11, 40, 100)
+        slab = SLAB_BYTES // (shape[1] * shape[2] * 8)
+        assert 1 < slab < shape[0] and shape[0] % slab  # partial last slab
+        src = Grid3D(shape).padded(random_field(shape, RNG))
+        damped = anisotropic_jacobi(1.0, 2.0, 0.5).damped(0.8)
+        for stencil in (jacobi7(), damped):
+            got = jacobi_sweep_padded(src, stencil=stencil)
+            # Canonical per-cell sequence: zero, one multiply-add per
+            # nonzero offset, centre last (vectorised along x only).
+            want = src.copy()
+            terms = nonzero_terms(stencil) + [
+                ((0, 0, 0), stencil.center_weight)]
+            for z in range(1, shape[0] + 1):
+                for y in range(1, shape[1] + 1):
+                    acc = np.zeros(shape[2])
+                    for (dz, dy, dx), w in terms:
+                        if w != 0.0:
+                            acc = acc + w * src[z + dz, y + dy,
+                                                1 + dx:shape[2] + 1 + dx]
+                    want[z, y, 1:-1] = acc
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("block", [(1, 1, 1), (100, 100, 100), (2, 7, 3)])
     def test_blocked_sweep_any_block(self, block):
+        """Padded sweeps of any tiling of the region compose to the plain
+        sweep: the distributed solver relies on sub-region calls."""
+        from repro.engine import get_engine
+
         grid = Grid3D((6, 6, 6))
-        f = random_field(grid.shape, RNG)
-        src = grid.padded(f)
+        src = grid.padded(random_field(grid.shape, RNG))
         plain = jacobi_sweep_padded(src)
-        blocked = jacobi_sweep_blocked(src, np.empty_like(src), block)
-        np.testing.assert_array_equal(plain, blocked)
+        tiled = src.copy()
+        eng = get_engine("numpy")
+        for z in range(0, 6, block[0]):
+            for y in range(0, 6, block[1]):
+                for x in range(0, 6, block[2]):
+                    hi = (min(z + block[0], 6), min(y + block[1], 6),
+                          min(x + block[2], 6))
+                    eng.apply_padded(jacobi7(), src, tiled, (z, y, x), hi)
+        np.testing.assert_array_equal(plain, tiled)
 
     def test_region_sweep_partial(self):
         grid = Grid3D((6, 6, 6))

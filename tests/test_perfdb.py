@@ -151,8 +151,8 @@ class TestPerfDB:
 
     def test_ingest_bench_document(self):
         doc = {"records": [
-            {"scenario": "solve_shared_blocked@quick", "kind": "solver",
-             "params": {"engine": "blocked", "storage": "twogrid",
+            {"scenario": "solve_shared_numba-deep@quick", "kind": "solver",
+             "params": {"engine": "numba-deep", "storage": "twogrid",
                         "shape": [48, 48, 48]},
              "metrics": {"mcups": {"value": 42.0}}},
             # No engine param: skipped.
@@ -162,7 +162,7 @@ class TestPerfDB:
         ]}
         db = PerfDB()
         assert db.ingest_document(doc, host=HOST) == 1
-        assert db.lookup("blocked", "jacobi", "twogrid",
+        assert db.lookup("numba-deep", "jacobi", "twogrid",
                          size_class((48, 48, 48)), host=HOST) == 42.0
 
     def test_size_class_buckets(self):
@@ -186,24 +186,24 @@ class TestResolveAutoEngine:
 
     def test_unknown_host_resolves_to_static_default(self):
         db = PerfDB()
-        db.record("blocked", "jacobi", "twogrid", "medium", 1000.0,
+        db.record("numba-deep", "jacobi", "twogrid", "medium", 1000.0,
                   host="somewhere-else")
         assert resolve_auto_engine("twogrid", (48, 48, 48),
                                    db=db) == DEFAULT_ENGINE
 
-    def test_measured_best_wins_deterministically(self):
+    def test_measured_best_wins_deterministically(self, deep_engine):
         db = PerfDB()
-        db.record("blocked", "jacobi", "twogrid", "medium", 500.0)
-        db.record("inplace", "jacobi", "twogrid", "medium", 300.0)
+        db.record("numba-deep", "jacobi", "twogrid", "medium", 500.0)
+        db.record("numba", "jacobi", "twogrid", "medium", 300.0)
         db.record(DEFAULT_ENGINE, "jacobi", "twogrid", "medium", 100.0)
         for _ in range(3):
             assert resolve_auto_engine("twogrid",
-                                       (48, 48, 48), db=db) == "blocked"
+                                       (48, 48, 48), db=db) == "numba-deep"
 
     def test_unregistered_candidates_are_skipped(self):
         db = PerfDB()
         db.record("numba-deep", "jacobi", "twogrid", "medium", 9000.0)
-        engines = ["numpy", "blocked", "numba", "numba-deep"]
+        engines = ["numpy", "numba", "numba-deep"]
         got = resolve_auto_engine("twogrid", (48, 48, 48),
                                   engines=engines, db=db)
         if "numba-deep" in available_engines():
@@ -211,9 +211,9 @@ class TestResolveAutoEngine:
         else:
             assert got == DEFAULT_ENGINE
 
-    def test_measurements_for_other_storage_do_not_leak(self):
+    def test_measurements_for_other_storage_do_not_leak(self, deep_engine):
         db = PerfDB()
-        db.record("blocked", "jacobi", "compressed", "medium", 1000.0)
+        db.record("numba-deep", "jacobi", "compressed", "medium", 1000.0)
         assert resolve_auto_engine("twogrid", (48, 48, 48),
                                    db=db) == DEFAULT_ENGINE
 
@@ -224,21 +224,22 @@ class TestResolveAutoEngine:
 
 class TestAutoThroughApi:
     def test_solve_auto_resolves_and_stays_bit_identical(
-            self, clean_default_db):
+            self, clean_default_db, deep_engine):
         grid, field = _problem()
         ref = solve(grid, field, _cfg())
         got = solve(grid, field, _cfg(), engine="auto")
         assert got.config.engine == DEFAULT_ENGINE  # empty db
-        clean_default_db.record("blocked", "jacobi", "twogrid",
+        clean_default_db.record("numba-deep", "jacobi", "twogrid",
                                 size_class(grid.shape), 500.0)
         clean_default_db.record(DEFAULT_ENGINE, "jacobi", "twogrid",
                                 size_class(grid.shape), 100.0)
         got2 = solve(grid, field, _cfg(), engine="auto")
-        assert got2.config.engine == "blocked"
+        assert got2.config.engine == "numba-deep"
         assert np.array_equal(got.field, ref.field)
         assert np.array_equal(got2.field, ref.field)
 
-    def test_service_binds_auto_engine_at_execution(self, clean_default_db):
+    def test_service_binds_auto_engine_at_execution(self, clean_default_db,
+                                                   deep_engine):
         from repro.serve import Service
 
         grid, field = _problem()
@@ -246,7 +247,7 @@ class TestAutoThroughApi:
             f = svc.submit(grid, field, _cfg(), engine="auto")
             # Calibration data lands while the job is queued: the late
             # binding must see it.
-            clean_default_db.record("blocked", "jacobi", "twogrid",
+            clean_default_db.record("numba-deep", "jacobi", "twogrid",
                                     size_class(grid.shape), 500.0)
             clean_default_db.record(DEFAULT_ENGINE, "jacobi", "twogrid",
                                     size_class(grid.shape), 100.0)
@@ -255,12 +256,12 @@ class TestAutoThroughApi:
             assert svc.stats.auto_engine_bound == 1
         assert np.array_equal(res.field, solve(grid, field, _cfg()).field)
 
-    def test_auto_engine_cache_purity(self, clean_default_db):
+    def test_auto_engine_cache_purity(self, clean_default_db, deep_engine):
         """Auto and every concrete engine share one cache entry: after
         the first solve, zero further backend invocations."""
         from repro.serve import Service
 
-        clean_default_db.record("blocked", "jacobi", "twogrid",
+        clean_default_db.record("numba-deep", "jacobi", "twogrid",
                                 "small", 500.0)
         grid, field = _problem()
         with Service(workers=0) as svc:
@@ -276,7 +277,7 @@ class TestAutoThroughApi:
     def test_concrete_engine_with_auto_config_still_rejected(self):
         grid, field = _problem()
         with pytest.raises(ValueError, match="concrete engine"):
-            repro.submit(grid, field, "auto", engine="blocked")
+            repro.submit(grid, field, "auto", engine="numpy")
 
     def test_auto_engine_with_auto_config_is_accepted(
             self, clean_default_db):
@@ -294,7 +295,8 @@ class TestAutoThroughApi:
 # ---------------------------------------------------------------------------
 
 class TestAutoconfStaleness:
-    def test_new_measurements_invalidate_the_memo(self, clean_default_db):
+    def test_new_measurements_invalidate_the_memo(self, clean_default_db,
+                                                  deep_engine):
         """The regression this PR fixes: auto_config memoised per
         geometry, so calibration arriving later was silently ignored."""
         from repro.serve.autoconf import auto_config
@@ -303,12 +305,12 @@ class TestAutoconfStaleness:
         first = auto_config(grid)
         assert first.engine == DEFAULT_ENGINE
         cls = size_class(grid.shape)
-        clean_default_db.record("blocked", "jacobi", first.storage,
+        clean_default_db.record("numba-deep", "jacobi", first.storage,
                                 cls, 500.0)
         clean_default_db.record(DEFAULT_ENGINE, "jacobi", first.storage,
                                 cls, 100.0)
         second = auto_config(grid)
-        assert second.engine == "blocked"
+        assert second.engine == "numba-deep"
         # And back again once the default engine measures fastest.
         clean_default_db.record(DEFAULT_ENGINE, "jacobi", first.storage,
                                 cls, 900.0)
@@ -328,7 +330,7 @@ class TestAutoconfStaleness:
 # ---------------------------------------------------------------------------
 
 class TestMeasuredAutotune:
-    def test_perf_db_breaks_the_engine_tie(self):
+    def test_perf_db_breaks_the_engine_tie(self, deep_engine):
         from repro.machine.presets import nehalem_ep
 
         db = PerfDB()
@@ -336,20 +338,20 @@ class TestMeasuredAutotune:
         cls = size_class(shape)
         for storage in ("twogrid", "compressed"):
             db.record("numpy", "jacobi", storage, cls, 100.0)
-            db.record("blocked", "jacobi", storage, cls, 300.0)
+            db.record("numba-deep", "jacobi", storage, cls, 300.0)
         kw = dict(shape=shape, bx_values=(60,), bz_values=(10,),
                   T_values=(2,), du_values=(4,),
-                  engines=("numpy", "blocked"))
+                  engines=("numpy", "numba-deep"))
         plain = repro.autotune(nehalem_ep(), **kw)
         tuned = repro.autotune(nehalem_ep(), perf_db=db, **kw)
         # Without data: stable order keeps numpy (given first) on top
-        # of each tied pair.  With data: blocked leads at 3x.
+        # of each tied pair.  With data: numba-deep leads at 3x.
         assert plain[0].config.engine == "numpy"
-        assert tuned[0].config.engine == "blocked"
+        assert tuned[0].config.engine == "numba-deep"
         pairs = {(r.config.engine, r.config.storage): r.mlups
                  for r in tuned}
         for storage in ("twogrid", "compressed"):
-            assert pairs[("blocked", storage)] == pytest.approx(
+            assert pairs[("numba-deep", storage)] == pytest.approx(
                 3.0 * pairs[("numpy", storage)])
 
     def test_cost_model_engine_terms(self):
@@ -357,13 +359,13 @@ class TestMeasuredAutotune:
         from repro.sim.costmodel import engine_factor, engine_throughput
 
         db = PerfDB()
-        assert engine_factor("blocked", db=db) == 1.0
+        assert engine_factor("numba-deep", db=db) == 1.0
         m = nehalem_ep()
-        assert engine_throughput(m, "blocked", db=db) is m
-        db.record("blocked", "jacobi", "twogrid", "large", 600.0)
+        assert engine_throughput(m, "numba-deep", db=db) is m
+        db.record("numba-deep", "jacobi", "twogrid", "large", 600.0)
         db.record("numpy", "jacobi", "twogrid", "large", 200.0)
-        assert engine_factor("blocked", db=db) == 3.0
-        m2 = engine_throughput(m, "blocked", db=db)
+        assert engine_factor("numba-deep", db=db) == 3.0
+        m2 = engine_throughput(m, "numba-deep", db=db)
         assert m2.core_mlups == pytest.approx(3.0 * m.core_mlups)
         # Everything that is a machine property stays untouched.
         assert m2.mem_bw_socket == m.mem_bw_socket
@@ -381,12 +383,14 @@ class TestCalibrate:
         assert set(results) == {(e, "twogrid")
                                 for e in available_engines()}
         assert all(v > 0 for v in results.values())
-        # Every size class is seeded so auto resolves at any shape.
-        for cls in ("small", "medium", "large"):
+        # Only the timed grid's size class is seeded (16^3: small).
+        assert db.lookup(DEFAULT_ENGINE, "jacobi", "twogrid",
+                         "small") is not None
+        for cls in ("medium", "large"):
             assert db.lookup(DEFAULT_ENGINE, "jacobi", "twogrid",
-                             cls) is not None
+                             cls) is None
         # After calibration, auto resolves to something measured here.
-        assert resolve_auto_engine("twogrid", (48, 48, 48),
+        assert resolve_auto_engine("twogrid", (16, 16, 16),
                                    db=db) in available_engines()
 
     def test_injected_timer_gives_deterministic_rates(self):
@@ -400,6 +404,21 @@ class TestCalibrate:
         cells = db.lookup("numpy", "jacobi", "twogrid", "small") * 1e6
         assert mlups == pytest.approx(cells / 1e6)
 
+    def test_small_grid_rate_never_steers_larger_classes(self, deep_engine):
+        """A 16^3 calibration is per-call overhead: it decides the small
+        class only, so a 64^3 grid keeps the static default even when
+        another engine measured faster on the small grid."""
+        ticks = iter([0.0, 2.0, 10.0, 11.0])  # numpy: 2 ticks, deep: 1
+        db = PerfDB()
+        calibrate(engines=("numpy", "numba-deep"), storages=("twogrid",),
+                  quick=True, db=db, timer=lambda: next(ticks))
+        assert resolve_auto_engine("twogrid", (16, 16, 16),
+                                   db=db) == "numba-deep"
+        for engine in ("numpy", "numba-deep"):
+            assert db.lookup(engine, "jacobi", "twogrid", "medium") is None
+        assert resolve_auto_engine("twogrid", (64, 64, 64),
+                                   db=db) == DEFAULT_ENGINE
+
     def test_cli_calibrate_round_trips_a_db_file(self, tmp_path, capsys):
         from repro.perf.cli import main
 
@@ -408,7 +427,7 @@ class TestCalibrate:
                      "--storages", "twogrid", "--db", str(path)]) == 0
         assert path.exists()
         db = PerfDB()
-        assert db.load(path) >= 3  # one rate x three size classes
+        assert db.load(path) == 1  # one rate, under the timed size class
         out = capsys.readouterr().out
         assert "engine='auto' now resolves" in out
         # Second run loads the existing file before calibrating.
