@@ -13,7 +13,8 @@ persists ``benchmarks/results/fig5.json`` alongside the ASCII series.
 
 from __future__ import annotations
 
-from repro.bench import banner, fig5_series, format_series
+from repro.bench import banner, format_series
+from repro.bench.figures import fig5_series
 
 
 def _render(data) -> str:

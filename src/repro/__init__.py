@@ -35,33 +35,29 @@ the same configuration on either backend::
     ref = reference_sweeps(grid, field, cfg.total_updates)
     assert np.allclose(shared.field, ref)
     assert np.allclose(dist.field, ref)
+
+The top level exports the solve path only: the problem (``Grid3D``,
+``DirichletBoundary``, ``StarStencil``, ``jacobi7``), the parameters
+(``PipelineConfig``, ``RelaxedSpec``, ``BarrierSpec``), the solvers
+(``solve``, ``run_pipelined``, ``reference_sweeps``, ``SolveResult``),
+the serving front door (``submit``, ``map``/``map_jobs``, ``Service``,
+``SolveJob``) and the autotuner (``autotune``, ``TuneResult``).
+Everything else is imported from the subpackage that defines it.
+
+``import repro`` loads the grid, kernel, engine, core-execution, API and
+tracer modules and nothing else: the distributed and threaded backends,
+the serving layer, the static analyzer, the perf harness, the machine
+model, the DES and the figure generators load on first use (pinned by
+``tests/test_imports.py``).  ``Service``, ``SolveJob``, ``autotune``
+and ``TuneResult`` resolve on first attribute access for that reason.
 """
 
-from .engine import (
-    Engine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from .grid import Box, BlockDecomposition, DirichletBoundary, Grid3D, random_field
-from .kernels import (
-    StarStencil,
-    jacobi7,
-    jacobi5_2d,
-    reference_sweeps,
-    solve_to_tolerance,
-)
-from .core import (
-    BarrierSpec,
-    PipelineConfig,
-    PipelineExecutor,
-    RelaxedSpec,
-    ScheduleDeadlock,
-    SolveResult,
-    StorageError,
-    run_pipelined,
-)
-from .api import BACKENDS, map_jobs, solve, submit
+import importlib
+
+from .grid import DirichletBoundary, Grid3D
+from .kernels import StarStencil, jacobi7, reference_sweeps
+from .core import BarrierSpec, PipelineConfig, RelaxedSpec, SolveResult, run_pipelined
+from .api import map_jobs, solve, submit
 
 #: ``repro.map`` — the ergonomic name for :func:`map_jobs` (shadows the
 #: builtin only inside this namespace; the wrapper itself imports the
@@ -70,168 +66,40 @@ map = map_jobs
 
 __version__ = "1.9.0"
 
-#: Symbols re-exported from the truly-threaded rail (lazy: the shared
-#: and distributed rails never import it).
-_THREADS_EXPORTS = frozenset({
-    "ThreadedPipelineExecutor",
-    "run_threaded",
-})
-
-#: Symbols re-exported from the distributed rail.  Resolved lazily (PEP
-#: 562) so that `import repro` — and with it the shared-memory rail and
-#: the figure-independent bench utilities — keeps working even if
-#: ``repro.dist`` (or a future hard MPI dependency of it) is broken or
-#: absent in a stripped-down deployment.
-_DIST_EXPORTS = frozenset({
-    "CartesianDecomposition",
-    "ClusterModel",
-    "Comm",
-    "ProcComm",
-    "ProcMPIError",
-    "ProcSolverSession",
-    "ProcWorld",
-    "RankComm",
-    "SimMPIError",
-    "balanced_grid",
-    "distributed_jacobi_pipelined",
-    "distributed_jacobi_sweeps",
-    "exchange_plan",
-    "fig6_variants",
-    "run_procs",
-    "run_ranks",
-})
-
-#: Symbols re-exported from the serving layer (also lazy: the service
-#: pulls in the distributed rail) and the autotuner.  ``submit``/``map``
-#: are *not* here — they come eagerly from :mod:`repro.api`, whose
-#: wrappers import the service at call time.
-_SERVE_EXPORTS = frozenset({
-    "Service",
-    "ServiceStats",
-    "SolveJob",
-    "SolveFuture",
-    "ResultCache",
-})
-_AUTOTUNE_EXPORTS = frozenset({"TuneResult", "autotune"})
-
-#: Symbols re-exported from the static analyzer (lazy: nothing on the
-#: execution path needs it unless ``validate="static"`` is requested).
-_ANALYSIS_EXPORTS = frozenset({
-    "ScheduleSpec",
-    "StaticAnalysisError",
-    "analyze_schedule",
-    "assert_legal",
-})
-
-#: Symbols re-exported from the observability layer (lazy for symmetry;
-#: the hot-path pieces — ``Tracer``, ``NULL_TRACER`` — are imported
-#: directly by the rails that use them).
-_OBS_EXPORTS = frozenset({
-    "Trace",
-    "Tracer",
-    "load_chrome_trace",
-    "span_coverage",
-    "trace_metrics",
-    "write_chrome_trace",
-})
+#: Names whose defining modules are heavy, resolved on first access.
+_LAZY = {
+    "Service": "repro.serve",
+    "SolveJob": "repro.serve",
+    "TuneResult": "repro.core.autotune",
+    "autotune": "repro.core.autotune",
+}
 
 
 def __getattr__(name: str):
-    if name in _ANALYSIS_EXPORTS:
-        from . import analysis
-
-        return getattr(analysis, name)
-    if name in _OBS_EXPORTS:
-        from . import obs
-
-        return getattr(obs, name)
-    if name in _THREADS_EXPORTS:
-        from . import threads
-
-        return getattr(threads, name)
-    if name in _DIST_EXPORTS:
-        from . import dist
-
-        return getattr(dist, name)
-    if name in _SERVE_EXPORTS:
-        from . import serve
-
-        return getattr(serve, name)
-    if name in _AUTOTUNE_EXPORTS:
-        from . import core
-
-        return getattr(core, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def __dir__():
-    return sorted(set(globals()) | _THREADS_EXPORTS | _DIST_EXPORTS
-                  | _SERVE_EXPORTS | _AUTOTUNE_EXPORTS | _ANALYSIS_EXPORTS
-                  | _OBS_EXPORTS)
-
 __all__ = [
-    "Engine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "Box",
-    "BlockDecomposition",
-    "DirichletBoundary",
     "Grid3D",
-    "random_field",
+    "DirichletBoundary",
     "StarStencil",
     "jacobi7",
-    "jacobi5_2d",
-    "reference_sweeps",
-    "solve_to_tolerance",
-    "BarrierSpec",
-    "RelaxedSpec",
     "PipelineConfig",
-    "PipelineExecutor",
-    "ScheduleDeadlock",
-    "SolveResult",
-    "StorageError",
-    "run_pipelined",
-    "ThreadedPipelineExecutor",
-    "run_threaded",
-    "CartesianDecomposition",
-    "ClusterModel",
-    "Comm",
-    "ProcComm",
-    "ProcMPIError",
-    "ProcSolverSession",
-    "ProcWorld",
-    "RankComm",
-    "SimMPIError",
-    "balanced_grid",
-    "distributed_jacobi_pipelined",
-    "distributed_jacobi_sweeps",
-    "exchange_plan",
-    "fig6_variants",
-    "run_procs",
-    "run_ranks",
-    "BACKENDS",
+    "RelaxedSpec",
+    "BarrierSpec",
     "solve",
-    "Service",
-    "ServiceStats",
-    "SolveJob",
-    "SolveFuture",
-    "ResultCache",
+    "run_pipelined",
+    "reference_sweeps",
+    "SolveResult",
     "submit",
     # "map" stays a module attribute but out of __all__: star-imports
     # must not shadow the builtin in the user's namespace.
     "map_jobs",
-    "TuneResult",
+    "Service",
+    "SolveJob",
     "autotune",
-    "ScheduleSpec",
-    "StaticAnalysisError",
-    "analyze_schedule",
-    "assert_legal",
-    "Trace",
-    "Tracer",
-    "trace_metrics",
-    "span_coverage",
-    "write_chrome_trace",
-    "load_chrome_trace",
+    "TuneResult",
     "__version__",
 ]

@@ -147,13 +147,16 @@ def solve(
         raise ValueError(
             f"validate must be True, False or 'static', got {validate!r}")
     runtime_validate = bool(validate) and validate != "static"
-    if validate == "static":
+    if validate == "static" and backend != "threads":
         # Prove the schedule race/deadlock-free before touching the
-        # field; the executor's runtime checks are then redundant.
-        from .analysis import assert_legal
+        # field; the executor's runtime checks are then redundant.  The
+        # threads backend certifies unconditionally, so it is not asked
+        # twice.  A StarStencil carries no radius: it is radius 1 by
+        # construction.
+        from . import analysis
 
-        radius = stencil.radius if stencil is not None else 1
-        assert_legal(config, grid.shape, topo, radius=radius)
+        analysis.assert_legal(config, grid.shape, topo,
+                              radius=getattr(stencil, "radius", 1))
     if backend in ("shared", "threads") and topo != (1, 1, 1):
         raise ValueError(
             f"the {backend} backend is single-process; topology {topo} "
@@ -165,7 +168,7 @@ def solve(
             result = run_pipelined(grid, field, config, stencil=stencil,
                                    validate=runtime_validate, tracer=tracer)
         elif backend == "threads":
-            # run_threaded re-runs assert_legal itself, unconditionally —
+            # run_threaded runs assert_legal itself, unconditionally —
             # real threads never launch on an uncertified schedule, no
             # matter what ``validate`` says.
             from .threads import run_threaded
@@ -173,9 +176,8 @@ def solve(
             result = run_threaded(grid, field, config, stencil=stencil,
                                   validate=runtime_validate, tracer=tracer)
         else:
-            # Imported lazily, mirroring the top-level re-exports: the
-            # shared backend must work even where the distributed rail
-            # is unavailable.
+            # Imported lazily: ``import repro`` does not load the
+            # distributed rail.
             from .dist.solver import distributed_jacobi_pipelined
 
             result = distributed_jacobi_pipelined(

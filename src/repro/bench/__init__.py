@@ -1,32 +1,14 @@
-"""Benchmark harness: per-figure data generators + ASCII reporting."""
+"""Benchmark harness: ASCII reporting helpers.
+
+The per-figure data generators live in :mod:`repro.bench.figures`;
+import them from there (they pull in the machine model and the DES).
+"""
 
 from .reporting import banner, format_series, format_table, ratio
-from .figures import (
-    DEFAULT_SIM_SHAPE,
-    ablation_block_size,
-    ablation_nt_stores,
-    ablation_team_delay,
-    fig3_left,
-    fig3_right,
-    fig5_series,
-    fig6_series,
-    model_validation,
-    pipeline_cfg,
-)
 
 __all__ = [
     "banner",
     "format_table",
     "format_series",
     "ratio",
-    "DEFAULT_SIM_SHAPE",
-    "fig3_left",
-    "fig3_right",
-    "fig5_series",
-    "fig6_series",
-    "model_validation",
-    "ablation_team_delay",
-    "ablation_block_size",
-    "ablation_nt_stores",
-    "pipeline_cfg",
 ]

@@ -12,6 +12,14 @@ Public surface:
   for callers that need custom active regions (distributed trapezoids) or
   interleaving control;
 * storage schemes (two-grid / compressed) in :mod:`~repro.core.storage`.
+
+This package re-exports only the execution layer.  Two modules that
+evaluate schedules on the machine model are imported from where they
+live, so ``import repro.core`` never loads the model or the DES:
+
+* :mod:`repro.core.autotune` — :func:`~repro.core.autotune.autotune`
+  and :class:`~repro.core.autotune.TuneResult` (also ``repro.autotune``);
+* :mod:`repro.core.wavefront` — the wavefront baseline of ref. [2].
 """
 
 from .parameters import BarrierSpec, PipelineConfig, RelaxedSpec, SyncSpec
@@ -20,8 +28,6 @@ from .storage import CompressedStorage, StorageError, TwoGridStorage, make_stora
 from .schedule import ScheduleError, check_coverage, check_skew, make_decomposition
 from .executor import ExecutionStats, ORDERS, PipelineExecutor, ScheduleDeadlock
 from .pipeline import SolveResult, plan, run_pipelined
-from .autotune import TuneResult, autotune
-from .wavefront import compare_wavefront, wavefront_balance, wavefront_config
 
 __all__ = [
     "BarrierSpec",
@@ -47,9 +53,4 @@ __all__ = [
     "SolveResult",
     "plan",
     "run_pipelined",
-    "TuneResult",
-    "autotune",
-    "wavefront_config",
-    "wavefront_balance",
-    "compare_wavefront",
 ]

@@ -44,10 +44,10 @@ import numpy as np
 from ..core.executor import ExecutionStats, PipelineExecutor
 from ..core.parameters import PipelineConfig
 from ..core.pipeline import SolveResult
+from ..engine import get_engine
 from ..grid.grid3d import DirichletBoundary, Grid3D
 from ..grid.region import Box
 from ..kernels.jacobi import jacobi7
-from ..kernels.reference import reference_sweep_region
 from ..kernels.stencils import StarStencil
 from ..obs.tracer import NULL_TRACER, Tracer
 from .comm import Comm
@@ -206,6 +206,7 @@ def _sweeps_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
     cur = lgrid.padded(np.ascontiguousarray(stored_field))
     nxt = cur.copy()
     core_l = geo.core.shift(neg)
+    sweep = get_engine(engine)
     nbytes = messages = 0
 
     def extract(box: Box) -> np.ndarray:
@@ -220,8 +221,7 @@ def _sweeps_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
         messages += m
         for s in range(1, halo + 1):
             region = core_l.grow(halo - s).intersect(lgrid.domain)
-            reference_sweep_region(cur, nxt, region.lo, region.hi, stencil,
-                                   engine=engine)
+            sweep.apply_padded(stencil, cur, nxt, region.lo, region.hi)
             cur, nxt = nxt, cur
     return geo.core, cur[core_l.slices((1, 1, 1))].copy(), nbytes, messages
 

@@ -14,7 +14,7 @@ from .jacobi import (
     anisotropic_jacobi,
     jacobi_sweep_padded,
 )
-from .reference import reference_sweeps, reference_sweep_region
+from .reference import reference_sweeps
 from .convergence import (
     change_norm,
     jacobi_residual,
@@ -31,7 +31,6 @@ __all__ = [
     "anisotropic_jacobi",
     "jacobi_sweep_padded",
     "reference_sweeps",
-    "reference_sweep_region",
     "change_norm",
     "jacobi_residual",
     "ConvergenceHistory",

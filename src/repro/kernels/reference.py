@@ -13,12 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine import get_engine
 from ..grid.grid3d import Grid3D
 from .jacobi import jacobi7, jacobi_sweep_padded
 from .stencils import StarStencil
 
-__all__ = ["reference_sweeps", "reference_sweep_region"]
+__all__ = ["reference_sweeps"]
 
 
 def reference_sweeps(grid: Grid3D, field: np.ndarray, sweeps: int,
@@ -43,19 +42,3 @@ def reference_sweeps(grid: Grid3D, field: np.ndarray, sweeps: int,
         cur, nxt = nxt, cur
     return cur[1:-1, 1:-1, 1:-1].copy()
 
-
-def reference_sweep_region(padded_src: np.ndarray, padded_dst: np.ndarray,
-                           lo, hi, stencil: Optional[StarStencil] = None,
-                           engine: str = "numpy") -> None:
-    """One sweep restricted to interior cells ``[lo, hi)`` of a padded pair.
-
-    Cells outside the region keep their previous-level values in
-    ``padded_dst``.  This is the building block of the *distributed*
-    reference: in the multi-halo scheme update ``s`` covers a region that
-    is ``h - s`` layers larger than the subdomain core (Sect. 2.1), i.e. a
-    shrinking sequence of such regional sweeps.  Dispatches through the
-    :mod:`repro.engine` registry, so the distributed sweeps inherit the
-    engine choice.
-    """
-    st = stencil or jacobi7()
-    get_engine(engine).apply_padded(st, padded_src, padded_dst, lo, hi)

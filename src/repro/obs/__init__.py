@@ -3,7 +3,7 @@
 The observability layer the paper implicitly assumes: the argument of
 pipelined temporal blocking is about *where time goes* (sync-window
 waits, halo exchange, in-cache block updates), so the runtime must be
-able to show exactly that.  Four pieces:
+able to show exactly that.  Its layers:
 
 * **Tracer** (:mod:`repro.obs.tracer`) — nestable spans plus monotonic
   counters and gauges, a no-op behind a guard variable when disabled
@@ -20,15 +20,19 @@ able to show exactly that.  Four pieces:
   (:func:`write_chrome_trace`, viewable in ``chrome://tracing`` /
   Perfetto), the flat ``SolveResult.metrics`` dict
   (:func:`trace_metrics`), and a ``python -m repro.obs`` CLI to
-  dump/summarize/diff trace files.  The differential hook
-  (:mod:`repro.obs.differential`) compares traced per-stage occupancy
-  against the calibrated DES prediction — the first step of ROADMAP's
-  "turn the DES on ourselves".
-* **Monitor** (:mod:`repro.obs.monitor`) — the *live* half: bounded
-  registry sampling, deterministic SLO histograms, a flight recorder of
-  recent job traces, straggler detection differential-tested against
-  the DES limplock prediction, and OpenMetrics/health exporters wired
-  through :class:`repro.serve.Service`.
+  dump/summarize/diff trace files.
+
+This package re-exports only those three layers: they are what a
+traced solve loads.  Two siblings are imported from their own modules
+and stay off ``import repro``'s path:
+
+* :mod:`repro.obs.differential` — compares traced per-stage occupancy
+  against the calibrated DES prediction (it runs the simulator);
+* :mod:`repro.obs.monitor` — the *live* half: bounded registry
+  sampling, deterministic SLO histograms, a flight recorder of recent
+  job traces, straggler detection differential-tested against the DES
+  limplock prediction, and OpenMetrics/health exporters wired through
+  :class:`repro.serve.Service`.
 
 Typical use::
 
@@ -38,7 +42,6 @@ Typical use::
     repro.obs.write_chrome_trace(res.trace, "solve.json")
 """
 
-from .differential import StageComparison, compare_stage_occupancy
 from .export import (
     load_chrome_trace,
     span_coverage,
@@ -46,19 +49,6 @@ from .export import (
     write_chrome_trace,
 )
 from .metrics import stage_busy, stage_occupancy, trace_metrics
-from .monitor import (
-    FixedHistogram,
-    FlightRecord,
-    FlightRecorder,
-    Monitor,
-    StragglerDetector,
-    StragglerPolicy,
-    WorkerScore,
-    predict_detection_latency,
-    predict_limplock_ratio,
-    to_openmetrics,
-    validate_openmetrics,
-)
 from .registry import REGISTRY, MetricsRegistry
 from .tracer import (
     NULL_SPAN,
@@ -85,17 +75,4 @@ __all__ = [
     "write_chrome_trace",
     "load_chrome_trace",
     "span_coverage",
-    "StageComparison",
-    "compare_stage_occupancy",
-    "Monitor",
-    "FixedHistogram",
-    "FlightRecord",
-    "FlightRecorder",
-    "StragglerDetector",
-    "StragglerPolicy",
-    "WorkerScore",
-    "predict_limplock_ratio",
-    "predict_detection_latency",
-    "to_openmetrics",
-    "validate_openmetrics",
 ]

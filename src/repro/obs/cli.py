@@ -21,7 +21,7 @@ The trace files are the ``chrome://tracing`` JSON produced by
 ``repro.solve(..., trace=True)`` results) — load the same file in
 ``chrome://tracing`` or Perfetto for the visual timeline.  ``monitor``
 is both a demo and CI's exporter tripwire: ``--check`` validates the
-OpenMetrics exposition with :func:`repro.obs.validate_openmetrics` and
+OpenMetrics exposition with :func:`repro.obs.monitor.validate_openmetrics` and
 exits non-zero on any problem.
 """
 

@@ -21,7 +21,7 @@ loop at the fleet level:
   :func:`predict_limplock_ratio`), and the fault-injection battery pins
   observed == predicted;
 * per-stage share drift against the DES
-  (:func:`repro.obs.compare_stage_occupancy`) is the second signal:
+  (:func:`repro.obs.differential.compare_stage_occupancy`) is the second signal:
   :meth:`StragglerDetector.check_trace` scores a flight-recorded trace
   and records the worst stage-share drift on the worker.
 
@@ -156,7 +156,7 @@ class StragglerDetector:
         Returns the worst ``|traced_share - predicted_share|`` over the
         stages and records it on the worker (see
         :attr:`WorkerScore.worst_share_drift`).  Thin wrapper over
-        :func:`repro.obs.compare_stage_occupancy` so flight-recorded
+        :func:`repro.obs.differential.compare_stage_occupancy` so flight-recorded
         timelines feed the same differential the post-hoc report uses.
         """
         from ..differential import compare_stage_occupancy

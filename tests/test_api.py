@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    BACKENDS,
     Grid3D,
     PipelineConfig,
     RelaxedSpec,
@@ -16,9 +15,10 @@ from repro import (
     run_pipelined,
     solve,
 )
+from repro.api import BACKENDS
 from repro.dist.solver import distributed_jacobi_sweeps
 from repro.grid import random_field
-from repro.kernels import reference_sweeps
+from repro.kernels import anisotropic_jacobi, reference_sweeps
 
 RNG = np.random.default_rng(17)
 
@@ -145,3 +145,35 @@ class TestErrorPaths:
         grid, field, cfg = small_problem()
         with pytest.raises(ValueError, match="oversubscribe"):
             solve(grid, field, cfg, topology=(1, 1, 64), backend="simmpi")
+
+
+class TestStaticValidation:
+    @pytest.mark.parametrize("backend", ["shared", "threads"])
+    def test_explicit_stencil(self, backend):
+        grid, field, cfg = small_problem()
+        st = anisotropic_jacobi(1, 2, 3)
+        res = solve(grid, field, cfg, backend=backend, stencil=st,
+                    validate="static")
+        ref = reference_sweeps(grid, field, cfg.total_updates, stencil=st)
+        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("backend, validate, calls", [
+        ("threads", "static", 1),
+        ("threads", True, 1),
+        ("shared", "static", 1),
+        ("shared", True, 0),
+    ])
+    def test_certifies_once(self, monkeypatch, backend, validate, calls):
+        import repro.analysis
+
+        seen = []
+        certify = repro.analysis.assert_legal
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(repro.analysis, "assert_legal", counting)
+        grid, field, cfg = small_problem()
+        solve(grid, field, cfg, backend=backend, validate=validate)
+        assert len(seen) == calls

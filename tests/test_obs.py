@@ -33,7 +33,6 @@ from repro.obs import (
     MetricsRegistry,
     Trace,
     Tracer,
-    compare_stage_occupancy,
     load_chrome_trace,
     span_coverage,
     spans_started,
@@ -42,6 +41,7 @@ from repro.obs import (
     trace_metrics,
     write_chrome_trace,
 )
+from repro.obs.differential import compare_stage_occupancy
 from repro.obs.tracer import NULL_TRACER
 
 
